@@ -10,8 +10,8 @@ staged architecture:
    the chunk layout;
 2. **execute** — stream 100,000 whole-case scenarios to a JSONL file
    with progress reporting, in constant memory;
-3. **cache** — rerun against a disk-persistent :class:`ResultCache` and
-   watch the second pass be pure cache hits.
+3. **re-run** — write the same sweep to a tiled store, then re-run it
+   as a delta and watch every tile be skipped.
 
 Run with::
 
@@ -21,21 +21,19 @@ The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
         --spec examples/sweep_spec.yaml --stream --out rows.jsonl \
-        --progress --cache results_cache.jsonl
-    PYTHONPATH=src python -m repro.cli cache stats --path results_cache.jsonl
+        --progress
+    PYTHONPATH=src python -m repro.cli sweep \
+        --spec examples/sweep_spec.yaml --stream --store results_store
+    PYTHONPATH=src python -m repro.cli sweep \
+        --spec examples/sweep_spec.yaml --stream --store results_store --delta
 """
 
 import pathlib
 import sys
 import tempfile
 
-from repro.engine import (
-    JsonlSink,
-    ResultCache,
-    SweepSpec,
-    lower,
-    run_sweep_streaming,
-)
+from repro.engine import JsonlSink, SweepSpec, lower, run_sweep_streaming
+from repro.store import TileSink
 
 case_file = str(pathlib.Path(__file__).parent / "case_confidence.yaml")
 workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro_stream_"))
@@ -63,7 +61,6 @@ print(f"first chunk covers scenarios [{plan.chunk(0).start}, "
 #    memory is one chunk; the rows land on disk as they finish.
 # ---------------------------------------------------------------- #
 rows_path = workdir / "case_rows.jsonl"
-cache = ResultCache(path=str(workdir / "results_cache.jsonl"))
 
 
 def progress(done_chunks, n_chunks, done_rows, n_rows):
@@ -72,20 +69,22 @@ def progress(done_chunks, n_chunks, done_rows, n_rows):
 
 
 meta = run_sweep_streaming(
-    plan, sinks=(JsonlSink(str(rows_path)),), cache=cache,
-    progress=progress,
+    plan, sinks=(JsonlSink(str(rows_path)),), progress=progress,
 )
 print(f"streamed {meta['rows']} rows in {meta['elapsed_s']:.2f}s "
       f"({meta['n_chunks']} chunks) -> {rows_path}")
 
 # ---------------------------------------------------------------- #
-# 3. Cache: the same sweep again — every scenario is now a disk-backed
-#    cache hit, and a *new* process reading the same cache path would
-#    see the same hits (try rerunning this script with workdir fixed).
+# 3. Re-run: materialise the sweep as a tiled store, then re-run it as
+#    a delta.  Every tile's content fingerprint matches the manifest,
+#    so nothing executes — and a *new* process pointed at the same
+#    store would skip the same tiles.
 # ---------------------------------------------------------------- #
-again = run_sweep_streaming(
-    plan, sinks=(JsonlSink(str(workdir / "case_rows_2.jsonl")),),
-    cache=cache,
-)
-print(f"rerun: cache {again['cache_hits']} hit / "
-      f"{again['cache_misses']} miss in {again['elapsed_s']:.2f}s")
+store_path = str(workdir / "case_store")
+stored = run_sweep_streaming(plan, sinks=(TileSink(store_path),))
+print(f"stored {stored['rows']} rows in {stored['elapsed_s']:.2f}s "
+      f"-> {store_path}")
+again = run_sweep_streaming(plan, sinks=(TileSink(store_path),), delta=True)
+print(f"delta rerun: {again['tiles_skipped']}/{again['tiles_total']} tiles "
+      f"skipped, {again['rows_executed']} rows computed in "
+      f"{again['elapsed_s']:.2f}s")

@@ -23,7 +23,8 @@ dependability claim as a first-class, quantified object:
 * risk models and ALARP/ACARP decision support (:mod:`repro.risk`);
 * standards tables (:mod:`repro.standards`);
 * a batched scenario-sweep engine with vectorised kernels, a streaming
-  executor and a result cache (:mod:`repro.engine`), all compiled
+  executor and a tiled result store (:mod:`repro.engine`,
+  :mod:`repro.store`), all compiled
   artefacts memoised through one unified cache
   (:mod:`repro.compilecache`);
 * built-in observability — tracing spans, a metrics registry and
@@ -58,7 +59,7 @@ from .distributions import (
     LogNormalJudgement,
     TwoPointWorstCase,
 )
-from .engine import ResultCache, ResultSet, ScenarioSpec, SweepSpec, run_sweep
+from .engine import ResultSet, ScenarioSpec, SweepSpec, run_sweep
 from .sil import LOW_DEMAND, HIGH_DEMAND, assess
 from .update import DemandEvidence, confidence_growth, survival_update
 
@@ -83,7 +84,6 @@ __all__ = [
     "JudgementDistribution",
     "LogNormalJudgement",
     "TwoPointWorstCase",
-    "ResultCache",
     "ResultSet",
     "ScenarioSpec",
     "SweepSpec",

@@ -815,8 +815,8 @@ def compile_network(network: BayesianNetwork) -> CompiledNetwork:
     rebuild an identical network per scenario (the engine's ``bbn_query``
     pipeline, ``two_leg_posterior`` over repeated parameters) share one
     compilation.  The backing store is the ``"bbn.network"`` region of
-    :mod:`repro.compilecache` — LRU-bounded, thread-safe, and visible to
-    ``repro-case cache stats``.
+    :mod:`repro.compilecache` — LRU-bounded, thread-safe, and counted in
+    ``repro-case sweep --metrics`` as ``cache.bbn.network.*``.
     """
     return _cache.get_or_create(
         network.content_hash(), lambda: CompiledNetwork(network)

@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-case``.
 
-Twelve subcommands cover the library's day-one uses:
+Eleven subcommands cover the library's day-one uses:
 
 * ``assess`` — classify a (mode, sigma) log-normal judgement into SILs
   and show the confidence/mean disagreement;
@@ -12,15 +12,11 @@ Twelve subcommands cover the library's day-one uses:
   YAML/JSON spec file (single- or multi-sweep) and tabulate or export
   the results; ``--stream --out rows.jsonl`` switches to the streaming
   executor (constant memory, JSONL/CSV sinks, ``--progress`` chunk
-  counters on stderr, ``--cache`` for a disk-persistent result cache,
-  ``--dtype float32`` for half-memory parameter planes, ``--tuned
-  [FILE]`` to run under a measured tuning profile);
+  counters on stderr, ``--dtype float32`` for half-memory parameter
+  planes, ``--tuned [FILE]`` to run under a measured tuning profile);
 * ``tune`` — measure backend x chunk-size (x dtype) grids for a spec's
   pipelines through the streaming executor and write the winners to a
   JSON tuning file (:mod:`repro.tuning`);
-* ``cache`` — ``stats`` (with per-region hit rates and on-disk bytes)
-  and ``clear`` (disk log and/or ``--regions`` for the in-process
-  compile caches) for the unified caches (:mod:`repro.compilecache`);
 * ``store`` — ``stats`` and ``query`` for tiled columnar result stores
   written with ``sweep --stream --store DIR`` (:mod:`repro.store`);
   queries slice the stored tiles directly — nothing re-executes — and
@@ -45,7 +41,7 @@ Examples::
     repro-case growth --faults 10 --exposure 1000
     repro-case sweep --spec examples/full_library_sweep.yaml --csv out.csv
     repro-case sweep --spec examples/sweep_spec.yaml --stream \
-        --out rows.jsonl --progress --cache results_cache.jsonl
+        --out rows.jsonl --progress
     repro-case sweep --spec examples/sweep_spec.yaml --stream \
         --out rows.jsonl --trace sweep.trace.json --metrics
     repro-case tune --spec examples/sweep_spec.yaml --out tuning.json
@@ -57,8 +53,6 @@ Examples::
     repro-case store query results_store --fix sigma=0.9 \
         --columns granted_level,sil2_confidence
     repro-case telemetry summary sweep.trace.json --top 5
-    repro-case cache stats --path results_cache.jsonl
-    repro-case cache clear --regions
     repro-case case --case examples/case_confidence.yaml --set A1.p_true=0.8
     repro-case validate --spec examples/full_library_sweep.yaml
     repro-case pipelines --verbose
@@ -76,7 +70,6 @@ from .engine import (
     BACKENDS,
     CsvSink,
     JsonlSink,
-    ResultCache,
     ResultSet,
     available_pipelines,
     get_pipeline,
@@ -203,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--progress", action="store_true",
                          help="report per-chunk progress on stderr "
                          "(with throughput and ETA)")
-    p_sweep.add_argument("--cache", default=None, metavar="PATH",
-                         dest="cache_path",
-                         help="disk-persistent result cache (JSONL log; "
-                         "created if missing, reused across runs)")
     p_sweep.add_argument("--trace", default=None, metavar="PATH",
                          help="record a trace of the run: Chrome "
                          "trace-event JSON (open in chrome://tracing or "
@@ -257,28 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measurement budget per configuration "
                         "(default 4096; sweeps are trimmed, not run "
                         "in full)")
-
-    p_cache = sub.add_parser(
-        "cache",
-        help="inspect or clear the unified caches",
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_cache_stats = cache_sub.add_parser(
-        "stats",
-        help="entry/hit/miss counts for a disk result cache and the "
-        "in-process compile-cache regions",
-    )
-    p_cache_stats.add_argument("--path", default=None, metavar="PATH",
-                               help="disk result-cache log to inspect")
-    p_cache_clear = cache_sub.add_parser(
-        "clear", help="clear a disk result cache (truncates the log) "
-        "and/or the in-process compile-cache regions"
-    )
-    p_cache_clear.add_argument("--path", default=None, metavar="PATH",
-                               help="disk result-cache log to clear")
-    p_cache_clear.add_argument("--regions", action="store_true",
-                               help="also clear every in-process "
-                               "compile-cache region")
 
     p_telemetry = sub.add_parser(
         "telemetry",
@@ -451,8 +418,7 @@ class _StreamProgress:
         print(line, file=sys.stderr, flush=True)
 
 
-def _run_sweep_streaming(args: argparse.Namespace,
-                         sweeps, cache) -> str:
+def _run_sweep_streaming(args: argparse.Namespace, sweeps) -> str:
     if args.out is None and args.store is None:
         raise ReproError(
             "--stream needs --out PATH (row stream) and/or --store DIR "
@@ -504,7 +470,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
         max_workers=args.workers,
         chunk_size=args.chunk_size,
         dtype=args.dtype,
-        cache=cache,
         sinks=tuple(sinks),
         progress=_StreamProgress() if args.progress else None,
         shards=args.shards,
@@ -546,8 +511,7 @@ def _run_sweep_streaming(args: argparse.Namespace,
         f"dtype={meta['dtype']}"
         + (" (tuned)" if meta.get("tuned") else "")
         + resumed_note + retry_note + delta_note
-        + f", cache {meta['cache_hits']} hit / {meta['cache_misses']} miss, "
-        f"{meta['elapsed_s']:.3f}s"
+        + f", {meta['elapsed_s']:.3f}s"
         + (f"\nstages: {stage_line}" if stage_line else "")
     )
 
@@ -584,10 +548,6 @@ def _run_sweep(args: argparse.Namespace) -> str:
         sweeps = load_sweeps(args.spec)
     except OSError as exc:
         raise ReproError(f"cannot read spec file {args.spec}: {exc}") from exc
-    cache = (
-        ResultCache(path=args.cache_path)
-        if args.cache_path is not None else None
-    )
     if not args.stream:
         for flag, name in ((args.out, "--out"),
                            (args.out_format, "--format"),
@@ -613,9 +573,9 @@ def _run_sweep(args: argparse.Namespace) -> str:
         if args.trace is not None:
             with capture_trace() as trace:
                 report = (
-                    _run_sweep_streaming(args, sweeps, cache)
+                    _run_sweep_streaming(args, sweeps)
                     if args.stream else
-                    _run_sweep_collect(args, sweeps, cache)
+                    _run_sweep_collect(args, sweeps)
                 )
             if str(args.trace).lower().endswith(".jsonl"):
                 trace.write_jsonl(args.trace)
@@ -628,9 +588,9 @@ def _run_sweep(args: argparse.Namespace) -> str:
             report += "\n" + note
         else:
             report = (
-                _run_sweep_streaming(args, sweeps, cache)
+                _run_sweep_streaming(args, sweeps)
                 if args.stream else
-                _run_sweep_collect(args, sweeps, cache)
+                _run_sweep_collect(args, sweeps)
             )
     finally:
         if args.metrics:
@@ -644,13 +604,13 @@ def _run_sweep(args: argparse.Namespace) -> str:
     return report
 
 
-def _run_sweep_collect(args: argparse.Namespace, sweeps, cache) -> str:
+def _run_sweep_collect(args: argparse.Namespace, sweeps) -> str:
     lines: List[str] = []
     combined = []
     for index, spec in enumerate(sweeps):
         result = run_sweep(
             spec, backend=args.backend, max_workers=args.workers,
-            chunk_size=args.chunk_size, dtype=args.dtype, cache=cache,
+            chunk_size=args.chunk_size, dtype=args.dtype,
         )
         label = spec.name or spec.pipeline
         if len(sweeps) > 1:
@@ -662,7 +622,6 @@ def _run_sweep_collect(args: argparse.Namespace, sweeps, cache) -> str:
                 ScenarioResult(
                     r.spec,
                     {"sweep": label, "pipeline": spec.pipeline, **r.values},
-                    from_cache=r.from_cache,
                 )
                 for r in result.results
             )
@@ -822,95 +781,6 @@ def _run_pipelines(args: argparse.Namespace) -> str:
     if details:
         table += "\n\nparameters (* = required):\n" + "\n".join(details)
     return table
-
-
-def _count_log_keys(path: str) -> int:
-    """Distinct keys in a cache log, counted without building a cache.
-
-    A bounded :class:`ResultCache` replay would cap the count at its
-    ``maxsize``; a line scan reports the true entry count of any log.
-    """
-    import json
-
-    keys = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) and "key" in entry:
-                keys.add(str(entry["key"]))
-    return len(keys)
-
-
-def _run_cache(args: argparse.Namespace) -> str:
-    import os
-
-    from .compilecache import cache_stats
-
-    if args.cache_command == "clear":
-        if args.path is None and not args.regions:
-            raise ReproError(
-                "cache clear needs --path PATH and/or --regions"
-            )
-        lines: List[str] = []
-        if args.path is not None:
-            if not os.path.exists(args.path):
-                raise ReproError(f"no cache log at {args.path}")
-            entries = _count_log_keys(args.path)
-            with open(args.path, "w", encoding="utf-8"):
-                pass
-            lines.append(
-                f"cleared {entries} cached result(s) from {args.path}"
-            )
-        if args.regions:
-            from .compilecache import clear_all_regions
-
-            names = sorted(cache_stats())
-            clear_all_regions()
-            lines.append(
-                "cleared in-process compile-cache region(s): "
-                + (", ".join(names) if names else "(none created yet)")
-            )
-        return "\n".join(lines)
-
-    lines = []
-    if args.path is not None:
-        if not os.path.exists(args.path):
-            raise ReproError(f"no cache log at {args.path}")
-        size = os.path.getsize(args.path)
-        lines.append(
-            f"disk result cache {args.path}: "
-            f"{_count_log_keys(args.path)} entries, {size} bytes"
-        )
-        lines.append("")
-    lines.append("in-process compile-cache regions:")
-    stats = cache_stats()
-    if not stats:
-        lines.append("  (none created yet)")
-    else:
-        rows = []
-        for name, region in stats.items():
-            lookups = region["hits"] + region["misses"]
-            rate = (
-                f"{region['hits'] / lookups:.1%}" if lookups else "-"
-            )
-            rows.append([
-                name, region["entries"], region["hits"],
-                region["misses"], rate,
-                # Persisted regions report their JSONL log's size;
-                # memory-only ones have no on-disk footprint.
-                str(region["bytes"]) if "bytes" in region else "-",
-            ])
-        lines.append(format_table(
-            ["region", "entries", "hits", "misses", "hit rate",
-             "disk bytes"], rows
-        ))
-    return "\n".join(lines)
 
 
 def _parse_csv_list(raw: Optional[str], cast, flag: str):
@@ -1132,7 +1002,6 @@ _RUNNERS = {
     "case": _run_case,
     "validate": _run_validate,
     "pipelines": _run_pipelines,
-    "cache": _run_cache,
     "store": _run_store,
     "telemetry": _run_telemetry,
 }

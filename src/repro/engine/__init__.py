@@ -10,7 +10,7 @@ fast:
 * :func:`lower` / :class:`ExecutionPlan` — the staged architecture's IR:
   parameter planes, chunk layout and per-chunk seed derivation, lazy in
   the scenario count (:mod:`~repro.engine.plan`);
-* :func:`run_sweep` — grid expansion, caching, and execution on
+* :func:`run_sweep` — grid expansion and execution on
   vectorised / serial / thread / process backends, collected in memory;
 * :func:`run_sweep_streaming` — the same execution core, chunk by chunk
   through pluggable sinks (:class:`JsonlSink`, :class:`CsvSink`,
@@ -19,9 +19,6 @@ fast:
   the streaming path split across worker processes with strictly
   ordered merge, checkpoint manifests and crash-safe ``resume=True``
   (:mod:`~repro.engine.coordinator`);
-* :class:`ResultCache` — content-keyed memoisation of finished
-  scenarios, optionally disk-persistent (a region of the unified
-  :mod:`repro.compilecache`);
 * :class:`ResultSet` — ordered results with table / CSV export;
 * :mod:`~repro.engine.pipelines` — the registry mapping pipeline names to
   the library's analysis entry points (thirteen pipelines: survival
@@ -47,7 +44,6 @@ Quickstart::
 """
 
 from . import kernels
-from .cache import ResultCache
 from .coordinator import SweepManifest, run_sweep_sharded, shard_ranges
 from .dtypes import DTYPES, parameter_dtype, resolve_dtype, use_dtype
 from .executor import BACKENDS, run_scenario, run_sweep
@@ -67,7 +63,6 @@ from .stream import run_sweep_streaming, stream_results
 
 __all__ = [
     "kernels",
-    "ResultCache",
     "SweepManifest",
     "run_sweep_sharded",
     "shard_ranges",

@@ -27,9 +27,7 @@ beyond the stdlib:
   via :func:`~repro.engine.sinks.truncate_torn_tail`), and restarts
   the sweep mid-stream — completed chunks are never re-executed, and
   the resumed file is byte-identical to an uninterrupted run because
-  JSONL chunk writes are deterministic and chunk-aligned.  A disk
-  :class:`~repro.engine.cache.ResultCache` additionally lets restarted
-  workers reuse any scenario the killed run had already finished.
+  JSONL chunk writes are deterministic and chunk-aligned.
 
 Manifest format (one JSON object per line, tolerant of a torn tail)::
 
@@ -54,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
-from .cache import ResultCache
 from .plan import ExecutionPlan, lower
 from .sinks import JsonlSink, ResultSink, truncate_torn_tail
 
@@ -199,15 +196,15 @@ class SweepManifest:
 
 
 def _shard_worker(plan: ExecutionPlan, start_chunk: int, stop_chunk: int,
-                  backend: str, cache_path: Optional[str], part_path: str,
-                  out_queue, text_mode: bool) -> None:
+                  backend: str, part_path: str, out_queue,
+                  text_mode: bool) -> None:
     """Run chunks ``[start_chunk, stop_chunk)``, spilling them to disk.
 
     Each finished chunk's payload — pre-encoded JSONL text in
     ``text_mode`` (so the coordinator appends it verbatim instead of
     re-serialising every row), the raw ``ScenarioResult`` rows
     otherwise — is pickled to ``part_path`` and *flushed* before a tiny
-    ``("chunk", absolute_index, n_rows, cache_hits)`` message is
+    ``("chunk", absolute_index, n_rows)`` message is
     queued, so every announced chunk is readable.  The disk spill is
     what lets every shard run at full speed while the coordinator
     drains shards in order: backpressure would serialise the sweep,
@@ -220,21 +217,17 @@ def _shard_worker(plan: ExecutionPlan, start_chunk: int, stop_chunk: int,
         from .stream import stream_results
 
         shard = plan.shard_chunks(start_chunk, stop_chunk)
-        cache = ResultCache(path=cache_path) if cache_path else None
         total = 0
         with open(part_path, "wb") as part:
-            results_stream = stream_results(
-                shard, backend=backend, cache=cache
-            )
+            results_stream = stream_results(shard, backend=backend)
             for chunk, results in zip(shard.chunks(), results_stream):
-                hits = sum(1 for result in results if result.from_cache)
                 payload = (
                     JsonlSink.encode(results) if text_mode else results
                 )
                 pickle.dump(payload, part,
                             protocol=pickle.HIGHEST_PROTOCOL)
                 part.flush()
-                out_queue.put(("chunk", chunk.index, len(results), hits))
+                out_queue.put(("chunk", chunk.index, len(results)))
                 total += len(results)
         out_queue.put(("done", total))
     except BaseException as exc:  # noqa: BLE001 — surfaced by coordinator
@@ -248,8 +241,7 @@ class _ShardState:
     """One shard's live bookkeeping inside the coordinator."""
 
     __slots__ = ("index", "start", "stop", "next_chunk", "process",
-                 "queue", "part_path", "part_handle", "retries", "rows",
-                 "hits")
+                 "queue", "part_path", "part_handle", "retries", "rows")
 
     def __init__(self, index: int, start: int, stop: int, part_path: str):
         self.index = index
@@ -262,7 +254,6 @@ class _ShardState:
         self.part_handle = None
         self.retries = 0
         self.rows = 0
-        self.hits = 0
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +275,6 @@ def run_sweep_sharded(
     backend: str = "auto",
     chunk_size: Optional[int] = None,
     dtype: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress=None,
     resume: bool = False,
@@ -438,7 +428,6 @@ def run_sweep_sharded(
         if resumed:
             manifest.record_resume(completed, ranges)
 
-    cache_path = cache.path if cache is not None else None
     context = multiprocessing.get_context(mp_context)
 
     def spawn(state: _ShardState) -> None:
@@ -454,7 +443,7 @@ def run_sweep_sharded(
         state.process = context.Process(
             target=_shard_worker,
             args=(plan, state.next_chunk, state.stop, worker_backend,
-                  cache_path, state.part_path, state.queue, text_mode),
+                  state.part_path, state.queue, text_mode),
             daemon=True,
             name=f"repro-shard-{state.index}",
         )
@@ -477,7 +466,7 @@ def run_sweep_sharded(
         "resumed_chunks": completed,
         "resumed_rows": resumed_rows,
     }
-    rows = hits = chunks_done = retries_total = 0
+    rows = chunks_done = retries_total = 0
     execute_elapsed = sink_elapsed = 0.0
     opened: List[ResultSink] = []
     try:
@@ -542,7 +531,7 @@ def run_sweep_sharded(
                                 state.process.join(timeout=5)
                                 continue
                             break
-                        _, index, n_rows, chunk_hits = message
+                        _, index, n_rows = message
                         if index < state.next_chunk:
                             continue  # duplicate after a respawn race
                         if index != state.next_chunk:
@@ -570,9 +559,7 @@ def run_sweep_sharded(
                         sink_elapsed += time.perf_counter() - write_start
                         state.next_chunk += 1
                         state.rows += n_rows
-                        state.hits += chunk_hits
                         rows += n_rows
-                        hits += chunk_hits
                         chunks_done += 1
                         _M_CHUNKS.add()
                         _M_ROWS.add(n_rows)
@@ -580,12 +567,10 @@ def run_sweep_sharded(
                             progress(completed + chunks_done, n_chunks,
                                      resumed_rows + rows,
                                      plan.n_scenarios)
-                    shard_span.set(rows=state.rows, retries=state.retries,
-                                   cache_hits=state.hits)
+                    shard_span.set(rows=state.rows, retries=state.retries)
                 if state.process is not None:
                     state.process.join(timeout=5)
-            root_span.set(rows=rows, retries=retries_total,
-                          cache_hits=hits)
+            root_span.set(rows=rows, retries=retries_total)
     finally:
         for state in states:
             process = state.process
@@ -603,8 +588,6 @@ def run_sweep_sharded(
         if manifest is not None:
             manifest.close()
 
-    meta["cache_hits"] = hits
-    meta["cache_misses"] = rows - hits
     meta["rows"] = rows
     meta["retries"] = retries_total
     meta["elapsed_s"] = time.perf_counter() - started

@@ -36,7 +36,6 @@ from typing import Optional, Sequence, Union
 
 from ..errors import DomainError
 from ..telemetry import tracer
-from .cache import ResultCache
 from .pipelines import get_pipeline
 from .plan import lower
 from .results import ResultSet, ScenarioResult
@@ -49,31 +48,11 @@ __all__ = ["run_scenario", "run_sweep", "BACKENDS"]
 SweepLike = Union[SweepSpec, Sequence[ScenarioSpec]]
 
 
-def _cacheable(pipeline, spec: ScenarioSpec) -> bool:
-    """A result may be memoised only if rerunning it would reproduce it:
-    always for deterministic pipelines, otherwise only with a seed."""
-    return pipeline.deterministic or spec.seed is not None
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    cache: Optional[ResultCache] = None,
-) -> ScenarioResult:
-    """Execute a single scenario (through the cache when one is given)."""
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
+    """Execute a single scenario."""
     pipeline = get_pipeline(spec.pipeline)
-    with tracer.span("scenario.run", pipeline=spec.pipeline) as span:
-        use_cache = cache is not None and _cacheable(pipeline, spec)
-        if use_cache:
-            key = pipeline.cache_key(spec)
-            cached = cache.get(key)
-            if cached is not None:
-                span.set(from_cache=True)
-                return ScenarioResult(spec, cached, from_cache=True)
-        values = pipeline.run(dict(spec.params), spec.seed)
-        if use_cache:
-            cache.put(key, values)
-        span.set(from_cache=False)
-        return ScenarioResult(spec, values)
+    with tracer.span("scenario.run", pipeline=spec.pipeline):
+        return ScenarioResult(spec, pipeline.run(dict(spec.params), spec.seed))
 
 
 def _wrapper_chunk_size(
@@ -104,14 +83,12 @@ def run_sweep(
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     dtype: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
 ) -> ResultSet:
     """Expand and execute a sweep; results keep the expansion order.
 
     ``sweep`` is a :class:`SweepSpec` or an explicit sequence of
-    :class:`ScenarioSpec` (which must share one pipeline).  Scenarios
-    whose key is already in ``cache`` are not re-executed; fresh results
-    are memoised before returning.  This is the collecting wrapper over
+    :class:`ScenarioSpec` (which must share one pipeline).  This is the
+    collecting wrapper over
     :func:`~repro.engine.run_sweep_streaming` — for sweeps too large to
     hold in memory, use the streaming API with a file sink instead.
     """
@@ -145,7 +122,6 @@ def run_sweep(
         plan,
         backend=backend,
         max_workers=max_workers,
-        cache=cache,
         sinks=(sink,),
     )
     meta["elapsed_s"] = time.perf_counter() - started

@@ -102,12 +102,12 @@ class Pipeline:
     defaults: Dict[str, Any] = {}
     required: Tuple[str, ...] = ()
     #: False for pipelines that draw fresh entropy when the scenario has
-    #: no seed; the executor skips the result cache for those runs.
+    #: no seed; delta sweeps refuse those runs unless the sweep is seeded.
     deterministic: bool = True
     #: Parameter names whose *values* reference content outside the spec
     #: (e.g. a file path).  Pipelines that override :meth:`cache_key` to
     #: fold external content must list the parameters carrying the
-    #: reference here, so plan/region fingerprints can anchor one cache
+    #: reference here, so plan/region fingerprints can anchor one content
     #: key per distinct referenced value — a fingerprint that hashed only
     #: one scenario would miss edits to the *other* files when such a
     #: parameter is swept as a grid axis.
@@ -144,12 +144,12 @@ class Pipeline:
         return self.name in _BATCH_KERNELS
 
     def cache_key(self, spec) -> str:
-        """Result-cache key for one :class:`~repro.engine.spec.ScenarioSpec`.
+        """Content key for one :class:`~repro.engine.spec.ScenarioSpec`.
 
         Defaults to the spec's own content key.  Pipelines whose results
         depend on state *outside* the spec (a file named by a parameter,
-        say) must fold that state in, or an edited file would silently
-        serve stale cached results.
+        say) must fold that state in, or plan and tile fingerprints would
+        miss an edited file and a delta would serve stale tiles.
         """
         return spec.key()
 
@@ -401,8 +401,8 @@ class BbnQueryPipeline(TwoLegPosteriorPipeline):
     name = "bbn_query"
     defaults = {**TwoLegPosteriorPipeline.defaults, "n_samples": 4000}
     # Without a scenario seed the sampler draws fresh OS entropy, so a
-    # cached replay would freeze one random draw; the executor must not
-    # memoise those runs.
+    # reused tile would freeze one random draw; delta sweeps must not
+    # reuse those runs.
     deterministic = False
 
     def run(self, params, seed=None):
@@ -494,10 +494,11 @@ class CaseConfidencePipeline(Pipeline):
     content_params = ("case_file",)
 
     def cache_key(self, spec) -> str:
-        """Fold the case file's *content* into the cache key.
+        """Fold the case file's *content* into the content key.
 
         The spec names the case by path, so editing the file on disk
-        must invalidate cached sweep results, not replay them.
+        must change every fingerprint that anchors it, so stored tiles
+        are recomputed rather than reused.
         """
         case_file = spec.params.get("case_file")
         if case_file is None:

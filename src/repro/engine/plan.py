@@ -77,8 +77,9 @@ class ExecutionPlan:
       reconstruction (identical to ``SweepSpec.expand()`` output);
     * :meth:`chunk_items` — the resolved ``(params, seed)`` run items a
       chunk feeds to ``Pipeline.run_batch``;
-    * :meth:`cache_key` — the result-cache key of one scenario, folded
-      through the pipeline (file-referencing pipelines hash content).
+    * :meth:`cache_key` — the content key of one scenario, folded
+      through the pipeline (file-referencing pipelines hash content);
+      fingerprints anchor referenced files through it.
     """
 
     def __init__(
@@ -267,17 +268,12 @@ class ExecutionPlan:
         ]
 
     # ------------------------------------------------------------------ #
-    # Cache keys
+    # Content keys
     # ------------------------------------------------------------------ #
 
     def cache_key(self, scenario: ScenarioSpec) -> str:
-        """The result-cache key of one scenario (pipeline-folded)."""
+        """The content key of one scenario (pipeline-folded)."""
         return self._pipeline.cache_key(scenario)
-
-    def cacheable(self, scenario: ScenarioSpec) -> bool:
-        """Whether rerunning ``scenario`` would reproduce its result:
-        always for deterministic pipelines, otherwise only with a seed."""
-        return self._pipeline.deterministic or scenario.seed is not None
 
     # ------------------------------------------------------------------ #
     # Content anchors (external state folded into fingerprints)

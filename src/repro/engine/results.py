@@ -28,7 +28,6 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     values: Mapping[str, Any]
-    from_cache: bool = False
 
     def record(self) -> Dict[str, Any]:
         """Parameters and values merged into one flat row."""
@@ -135,11 +134,6 @@ class ResultSet:
             bits.append(f"pipeline={meta['pipeline']}")
         if "backend" in meta:
             bits.append(f"backend={meta['backend']}")
-        if "cache_hits" in meta:
-            bits.append(
-                f"cache {meta['cache_hits']} hit / "
-                f"{meta.get('cache_misses', 0)} miss"
-            )
         if "elapsed_s" in meta:
             bits.append(f"{meta['elapsed_s']:.3f}s")
         return ", ".join(bits)

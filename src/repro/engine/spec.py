@@ -5,7 +5,8 @@ A :class:`ScenarioSpec` names a registered pipeline (see
 :class:`SweepSpec` adds a parameter *grid* whose cartesian product expands
 into a family of scenarios.  Both round-trip through plain dicts, so specs
 can live in YAML/JSON files and travel across process boundaries, and both
-have a canonical :meth:`ScenarioSpec.key` used by the result cache.
+have a canonical :meth:`ScenarioSpec.key` that plan and tile fingerprints
+anchor to.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@
 result, the streaming executor lowers the sweep to an
 :class:`~repro.engine.plan.ExecutionPlan` and walks it **chunk by
 chunk**: each chunk's scenarios are reconstructed lazily (mixed-radix
-grid decode + directly-addressed child seeds), satisfied from the result
-cache where possible, executed on the chosen backend, pushed through the
-registered :mod:`~repro.engine.sinks`, and dropped.  Peak memory is set
+grid decode + directly-addressed child seeds), executed on the chosen
+backend, pushed through the registered :mod:`~repro.engine.sinks`, and
+dropped.  Re-runs that should skip unchanged work write a tile store and
+re-run it as a delta (:mod:`repro.store.delta`).  Peak memory is set
 by the chunk size and the in-flight window — not the scenario count — so
 million-scenario sweeps run in the same footprint as thousand-scenario
 ones.
@@ -33,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
-from .cache import ResultCache
 from .dtypes import use_dtype
 from .plan import ExecutionPlan, lower
 from .results import ScenarioResult
@@ -45,8 +45,6 @@ __all__ = ["run_sweep_streaming", "stream_results", "BACKENDS"]
 # Run-level counters/gauges; see README's telemetry reference table.
 _M_ROWS = metrics.counter("engine.rows")
 _M_CHUNKS = metrics.counter("engine.chunks")
-_M_CACHE_HITS = metrics.counter("engine.cache_hits")
-_M_CACHE_MISSES = metrics.counter("engine.cache_misses")
 _M_STEALS = metrics.counter("engine.work_steals")
 _M_QUEUE_DEPTH = metrics.gauge("engine.queue_depth")
 
@@ -105,64 +103,30 @@ def _resolve_backend(plan: ExecutionPlan, backend: str) -> Tuple[str, str]:
     return backend, backend
 
 
-class _ChunkWork:
-    """One chunk's cache split: hits ready, misses to execute."""
-
-    __slots__ = ("scenarios", "keys", "hits", "pending", "items")
-
-    def __init__(self, plan: ExecutionPlan, scenarios: List[ScenarioSpec],
-                 cache: Optional[ResultCache]):
-        self.scenarios = scenarios
-        self.keys: Dict[int, str] = {}
-        self.hits: Dict[int, Dict[str, Any]] = {}
-        self.pending: List[int] = []
-        if cache is None:
-            self.pending = list(range(len(scenarios)))
-        else:
-            for position, scenario in enumerate(scenarios):
-                if plan.cacheable(scenario):
-                    key = plan.cache_key(scenario)
-                    self.keys[position] = key
-                    values = cache.get(key)
-                    if values is not None:
-                        self.hits[position] = values
-                        continue
-                self.pending.append(position)
-        self.items = plan.chunk_items(
-            [scenarios[position] for position in self.pending]
-        )
-
-    def merge(self, values: Sequence[Dict[str, Any]],
-              cache: Optional[ResultCache]) -> List[ScenarioResult]:
-        """Interleave fresh values with cache hits, memoising the fresh."""
-        results: List[Optional[ScenarioResult]] = [None] * len(self.scenarios)
-        for position, hit in self.hits.items():
-            results[position] = ScenarioResult(
-                self.scenarios[position], hit, from_cache=True
-            )
-        for position, value in zip(self.pending, values):
-            results[position] = ScenarioResult(
-                self.scenarios[position], value
-            )
-            if cache is not None and position in self.keys:
-                cache.put(self.keys[position], value)
-        return results  # type: ignore[return-value]
+def _emit(scenarios: List[ScenarioSpec],
+          values: Sequence[Dict[str, Any]]) -> List[ScenarioResult]:
+    """One executed chunk's rows, counted into the run-level metrics."""
+    _M_ROWS.add(len(scenarios))
+    _M_CHUNKS.add()
+    return [ScenarioResult(spec, value)
+            for spec, value in zip(scenarios, values)]
 
 
 def stream_results(
     plan: ExecutionPlan,
     backend: str = "auto",
     max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ):
     """Yield each chunk's ordered :class:`ScenarioResult` rows, lazily.
 
-    The generator driving both :func:`run_sweep_streaming` and
-    :func:`repro.engine.run_sweep`.  ``backend`` must already name a
-    concrete backend or ``auto`` (resolved here).  Chunks are yielded
-    strictly in scenario order; with pooled backends a bounded window of
-    chunks runs ahead of the emission point, so memory stays constant
-    while workers steal whatever is submitted.
+    The generator driving :func:`run_sweep_streaming`,
+    :func:`repro.engine.run_sweep` and delta sweeps' executed tiles.
+    ``backend`` must already name a concrete backend or ``auto``
+    (resolved here).  Chunks are yielded strictly in scenario order;
+    with pooled backends a bounded window of chunks runs ahead of the
+    emission point, so memory stays constant while workers steal
+    whatever is submitted.  Every yielded chunk counts once towards
+    the ``engine.rows`` and ``engine.chunks`` metrics.
     """
     effective, _label = _resolve_backend(plan, backend)
     if plan.n_scenarios == 0:
@@ -172,22 +136,19 @@ def stream_results(
         for chunk in plan.chunks():
             with tracer.span("stream.chunk", index=chunk.index,
                              backend=effective) as span:
-                work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
+                scenarios = plan.chunk_scenarios(chunk)
+                items = plan.chunk_items(scenarios)
                 with use_dtype(plan.dtype):
                     if effective == "serial":
                         values = [
                             pipeline.run(params, seed)
-                            for params, seed in work.items
+                            for params, seed in items
                         ]
                     else:
-                        values = (
-                            pipeline.run_batch(work.items)
-                            if work.items else []
-                        )
-                span.set(n=len(work.scenarios),
-                         cache_hits=len(work.hits))
-                merged = work.merge(values, cache)
-            yield merged
+                        values = pipeline.run_batch(items) if items else []
+                span.set(n=len(scenarios))
+                rows = _emit(scenarios, values)
+            yield rows
         return
 
     pool_cls = (
@@ -200,7 +161,7 @@ def stream_results(
         # sibling, and the reorder buffer stays bounded by the window.
         window = max(2, workers * 4)
         n_chunks = plan.n_chunks
-        in_flight: Dict[int, Tuple[Any, _ChunkWork]] = {}
+        in_flight: Dict[int, Tuple[Any, List[ScenarioSpec]]] = {}
         next_submit = 0
         # Work-steal accounting: a chunk that completes before every
         # lower-indexed chunk has completed was executed out of turn by
@@ -225,16 +186,15 @@ def stream_results(
         def submit_up_to(limit: int) -> None:
             nonlocal next_submit
             while next_submit < n_chunks and len(in_flight) < limit:
-                chunk = plan.chunk(next_submit)
-                work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
+                scenarios = plan.chunk_scenarios(plan.chunk(next_submit))
                 future = pool.submit(
-                    _execute_chunk, plan.pipeline_name, work.items,
-                    plan.dtype,
+                    _execute_chunk, plan.pipeline_name,
+                    plan.chunk_items(scenarios), plan.dtype,
                 )
                 future.add_done_callback(
                     lambda _f, index=next_submit: _completed(index)
                 )
-                in_flight[next_submit] = (future, work)
+                in_flight[next_submit] = (future, scenarios)
                 next_submit += 1
 
         try:
@@ -245,18 +205,17 @@ def stream_results(
                                  backend=effective,
                                  queue_depth=len(in_flight),
                                  window=window) as span:
-                    future, work = in_flight.pop(emit_index)
+                    future, scenarios = in_flight.pop(emit_index)
                     values = future.result()
-                    span.set(n=len(work.scenarios),
-                             cache_hits=len(work.hits),
+                    span.set(n=len(scenarios),
                              steals=steal_state["steals"])
-                    merged = work.merge(values, cache)
-                yield merged
+                    rows = _emit(scenarios, values)
+                yield rows
         finally:
             # Only reachable with futures in flight when a chunk raised
             # or the consumer abandoned the stream; don't let the
             # remaining chunks run on.
-            for future, _work in in_flight.values():
+            for future, _scenarios in in_flight.values():
                 future.cancel()
 
 
@@ -266,7 +225,6 @@ def run_sweep_streaming(
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     dtype: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
     shards: Optional[int] = None,
@@ -300,7 +258,7 @@ def run_sweep_streaming(
     are executed — the finished store is bit-identical to a full run.
 
     Returns the run's meta summary: pipeline, backend, scenario/chunk
-    counts, cache hit/miss totals, rows written, elapsed seconds, and a
+    counts, rows written, elapsed seconds, and a
     ``stage_timings`` breakdown: seconds spent lowering the plan
     (``plan_s``), inside compile-cache factories (``compile_s``, the
     process-wide :func:`repro.compilecache.compile_seconds` delta — not
@@ -325,7 +283,6 @@ def run_sweep_streaming(
             max_workers=max_workers,
             chunk_size=chunk_size,
             dtype=dtype,
-            cache=cache,
             sinks=sinks,
             progress=progress,
         )
@@ -338,7 +295,6 @@ def run_sweep_streaming(
             backend=backend,
             chunk_size=chunk_size,
             dtype=dtype,
-            cache=cache,
             sinks=sinks,
             progress=progress,
             resume=resume,
@@ -379,7 +335,7 @@ def run_sweep_streaming(
         "tuned": bool(profile is not None
                       and plan.pipeline_name in profile),
     }
-    hits = misses = rows = chunks_done = 0
+    rows = chunks_done = 0
     execute_elapsed = sink_elapsed = 0.0
     opened: List[ResultSink] = []
     with tracer.span("sweep.stream", pipeline=plan.pipeline_name,
@@ -393,7 +349,7 @@ def run_sweep_streaming(
                 sink.open(plan)
                 opened.append(sink)
             stream = stream_results(
-                plan, backend=backend, max_workers=max_workers, cache=cache
+                plan, backend=backend, max_workers=max_workers
             )
             while True:
                 stage_start = time.perf_counter()
@@ -409,9 +365,6 @@ def run_sweep_streaming(
                 sink_elapsed += time.perf_counter() - stage_start
                 rows += len(chunk_results)
                 chunks_done += 1
-                chunk_hits = sum(1 for r in chunk_results if r.from_cache)
-                hits += chunk_hits
-                misses += len(chunk_results) - chunk_hits
                 if progress is not None:
                     progress(chunks_done, plan.n_chunks, rows,
                              plan.n_scenarios)
@@ -420,13 +373,7 @@ def run_sweep_streaming(
             for sink in opened:
                 sink.close()
             sink_elapsed += time.perf_counter() - stage_start
-        _M_ROWS.add(rows)
-        _M_CHUNKS.add(chunks_done)
-        _M_CACHE_HITS.add(hits)
-        _M_CACHE_MISSES.add(misses)
-        root_span.set(rows=rows, cache_hits=hits, cache_misses=misses)
-    meta["cache_hits"] = hits
-    meta["cache_misses"] = misses
+        root_span.set(rows=rows)
     meta["rows"] = rows
     meta["elapsed_s"] = time.perf_counter() - started
     meta["stage_timings"] = {

@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import tracer
-from ..engine.cache import ResultCache
 from ..engine.plan import Chunk, ExecutionPlan, lower
 from ..engine.sinks import ResultSink
 from ..engine.stream import (
@@ -133,7 +132,6 @@ def run_sweep_delta(
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     dtype: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
 ) -> Dict[str, Any]:
@@ -196,7 +194,7 @@ def run_sweep_delta(
     if old is None:
         meta = run_sweep_streaming(
             plan, backend=backend, max_workers=max_workers,
-            cache=cache, sinks=(sink,), progress=progress,
+            sinks=(sink,), progress=progress,
         )
         writer = sink.writer
         assert writer is not None
@@ -230,7 +228,6 @@ def run_sweep_delta(
         old_by_fp.setdefault(record["fingerprint"], record)
 
     execute_elapsed = sink_elapsed = 0.0
-    hits = misses = 0
     with tracer.span("sweep.delta", pipeline=plan.pipeline_name,
                      backend=label, n_scenarios=plan.n_scenarios,
                      n_tiles=layout.n_tiles) as root_span:
@@ -303,12 +300,8 @@ def run_sweep_delta(
             rows = []
             for chunk_results in stream_results(
                 sub_plan, backend=backend, max_workers=max_workers,
-                cache=cache,
             ):
                 rows.extend(chunk_results)
-            chunk_hits = sum(1 for row in rows if row.from_cache)
-            hits += chunk_hits
-            misses += len(rows) - chunk_hits
             execute_elapsed += time.perf_counter() - stage_start
             stage_start = time.perf_counter()
             writer.write_tile(tile, rows, fingerprint=fp)
@@ -328,8 +321,6 @@ def run_sweep_delta(
                       tiles_moved=writer.tiles_moved,
                       bytes_reused=writer.bytes_reused)
 
-    meta["cache_hits"] = hits
-    meta["cache_misses"] = misses
     meta["rows"] = plan.n_scenarios
     meta["elapsed_s"] = time.perf_counter() - started
     meta["stage_timings"] = {

@@ -14,7 +14,7 @@ baseline.  Stage timings from the executor's telemetry
 (``plan_s``/``compile_s``/``execute_s``/``sink_s``) ride along with
 every grid point for later comparison via ``repro-case telemetry``.
 
-Measurement runs write no sinks and use no result cache: they time the
+Measurement runs write no sinks: they time the
 plan → compile → execute core only, and they warm each configuration's
 compile caches with one untimed round before the timed rounds.
 """

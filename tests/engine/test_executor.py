@@ -1,11 +1,10 @@
-"""Tests for sweep execution, caching behaviour and result sets."""
+"""Tests for sweep execution and result sets."""
 
 import numpy as np
 import pytest
 
 from repro.engine import (
     Pipeline,
-    ResultCache,
     ScenarioSpec,
     SweepSpec,
     available_pipelines,
@@ -113,52 +112,6 @@ class TestBackendsAgree:
             run_sweep(SURVIVAL_SWEEP, backend="gpu")
 
 
-class TestCachingBehaviour:
-    def test_second_run_is_all_hits_and_identical(self):
-        cache = ResultCache()
-        first = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        assert first.meta["cache_hits"] == 0
-        assert first.meta["cache_misses"] == 12
-        second = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        assert second.meta["cache_hits"] == 12
-        assert second.meta["cache_misses"] == 0
-        assert _values_list(second) == _values_list(first)
-        assert all(r.from_cache for r in second)
-
-    def test_partial_overlap_only_runs_new_scenarios(self):
-        cache = ResultCache()
-        run_sweep(SURVIVAL_SWEEP, cache=cache)
-        wider = SweepSpec(
-            pipeline=SURVIVAL_SWEEP.pipeline,
-            base=dict(SURVIVAL_SWEEP.base),
-            grid={"sigma": [0.7, 0.9, 1.1], "demands": [0, 10, 100, 1000, 10000]},
-        )
-        result = run_sweep(wider, cache=cache)
-        assert result.meta["cache_hits"] == 12
-        assert result.meta["cache_misses"] == 3
-
-    def test_cached_values_match_fresh_run(self):
-        cache = ResultCache()
-        fresh = run_sweep(SURVIVAL_SWEEP, backend="serial")
-        run_sweep(SURVIVAL_SWEEP, backend="vectorized", cache=cache)
-        cached = run_sweep(SURVIVAL_SWEEP, backend="serial", cache=cache)
-        assert _values_list(cached) == pytest.approx(
-            _values_list(fresh)
-        ) or _values_list(cached) == _values_list(fresh)
-
-    def test_run_scenario_uses_cache(self):
-        cache = ResultCache()
-        spec = ScenarioSpec(
-            "survival_update",
-            {"mode": 0.003, "sigma": 0.9, "points_per_decade": 60},
-        )
-        first = run_scenario(spec, cache=cache)
-        second = run_scenario(spec, cache=cache)
-        assert not first.from_cache
-        assert second.from_cache
-        assert dict(second.values) == dict(first.values)
-
-
 class TestStochasticPipelines:
     def test_panel_sweep_reproducible_via_master_seed(self):
         sweep = SweepSpec(pipeline="panel_run",
@@ -174,24 +127,6 @@ class TestStochasticPipelines:
         b = _values_list(run_sweep(
             SweepSpec(pipeline="panel_run", grid=grid, seed=2)))
         assert a != b
-
-    def test_unseeded_stochastic_scenarios_bypass_the_cache(self):
-        base = {
-            "prior": 0.6, "dependence": 0.3, "n_samples": 200,
-            "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
-            "leg1_specificity": 0.9, "leg2_validity": 0.88,
-            "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
-        }
-        cache = ResultCache()
-        spec = ScenarioSpec("bbn_query", base)  # no seed: fresh entropy
-        first = run_scenario(spec, cache=cache)
-        second = run_scenario(spec, cache=cache)
-        assert not first.from_cache and not second.from_cache
-        assert len(cache) == 0
-        # With a seed the run is reproducible, so caching is back on.
-        seeded = ScenarioSpec("bbn_query", base, seed=3)
-        run_scenario(seeded, cache=cache)
-        assert run_scenario(seeded, cache=cache).from_cache
 
     def test_bbn_query_reproducible(self):
         base = {
@@ -324,13 +259,11 @@ class TestResultSet:
         assert len(lines) == 13
         assert lines[0].startswith("mode,")
 
-    def test_summary_mentions_cache_and_backend(self):
-        cache = ResultCache()
-        result = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        summary = result.summary()
+    def test_summary_mentions_count_and_backend(self):
+        summary = run_sweep(SURVIVAL_SWEEP).summary()
         assert "12 scenarios" in summary
-        assert "cache" in summary
         assert "survival_update" in summary
+        assert "backend=auto->vectorized" in summary
 
 
 class TestCaseFileCacheInvalidation:
@@ -346,15 +279,11 @@ class TestCaseFileCacheInvalidation:
             base={"case_file": str(path)},
             grid={"S1.dependence": [0.0, 0.5]},
         )
-        cache = ResultCache()
-        first = run_sweep(sweep, cache=cache)
-        assert first.meta["cache_misses"] == 2
-        # Same file, same cache: pure hits.
-        again = run_sweep(sweep, cache=cache)
-        assert again.meta["cache_hits"] == 2
+        first = run_sweep(sweep)
+        assert run_sweep(sweep)[0].values == first[0].values
 
         # Edit the case on disk: the path-named spec is unchanged, but
-        # cached results must NOT be replayed.
+        # the memoised case must NOT be replayed.
         edited = dict(source)
         edited["quantify"] = {
             **edited["quantify"],
@@ -363,8 +292,7 @@ class TestCaseFileCacheInvalidation:
         path.write_text(yaml.safe_dump(edited))
         import os
         os.utime(path, (os.path.getmtime(path) + 2,) * 2)
-        fresh = run_sweep(sweep, cache=cache)
-        assert fresh.meta["cache_misses"] == 2
+        fresh = run_sweep(sweep)
         assert (
             fresh[0].values["top_confidence"]
             != first[0].values["top_confidence"]

@@ -150,22 +150,6 @@ class TestLowering:
         plan = lower(SWEEP)
         scenario = plan.scenario(0)
         assert plan.cache_key(scenario) == scenario.key()
-        assert plan.cacheable(scenario)
-
-    def test_stochastic_unseeded_not_cacheable(self):
-        base = {
-            "prior": 0.6,
-            "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
-            "leg1_specificity": 0.9, "leg2_validity": 0.88,
-            "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
-        }
-        grid = {"dependence": [0.0, 0.3]}
-        # bbn_query without a seed draws fresh entropy: not cacheable.
-        plan = lower(SweepSpec(pipeline="bbn_query", base=base, grid=grid))
-        assert not plan.cacheable(plan.scenario(0))
-        seeded = lower(SweepSpec(pipeline="bbn_query", base=base,
-                                 grid=grid, seed=1))
-        assert seeded.cacheable(seeded.scenario(0))
 
 
 class TestLoweringErrors:

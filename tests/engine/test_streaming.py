@@ -26,7 +26,6 @@ from repro.engine import (
     CsvSink,
     JsonlSink,
     MemorySink,
-    ResultCache,
     SweepSpec,
     lower,
     run_sweep,
@@ -371,69 +370,6 @@ class TestSinks:
             progress=lambda *args: calls.append(args),
         )
         assert calls == [(1, 3, 5, 12), (2, 3, 10, 12), (3, 3, 12, 12)]
-
-
-class TestStreamingCache:
-    def test_cache_hits_skip_execution_and_match(self):
-        cache = ResultCache()
-        first, meta_first = _rows(SURVIVAL_SWEEP, cache=cache)
-        assert meta_first["cache_misses"] == 12
-        second, meta_second = _rows(SURVIVAL_SWEEP, cache=cache,
-                                    chunk_size=5)
-        assert meta_second["cache_hits"] == 12
-        assert meta_second["cache_misses"] == 0
-        assert second == first
-
-    def test_disk_cache_survives_process_restart(self, tmp_path):
-        # Same log path, fresh ResultCache instances: the second "run"
-        # (a new process in production) replays the log and serves hits.
-        path = str(tmp_path / "results.jsonl")
-        _first, meta_first = _rows(
-            SURVIVAL_SWEEP, cache=ResultCache(path=path)
-        )
-        assert meta_first["cache_misses"] == 12
-        second, meta_second = _rows(
-            SURVIVAL_SWEEP, cache=ResultCache(path=path)
-        )
-        assert meta_second["cache_hits"] == 12
-        assert second == _rows(SURVIVAL_SWEEP)[0]
-
-    def test_disk_cache_invalidates_on_case_file_edit(self, tmp_path):
-        yaml = pytest.importorskip("yaml")
-        import os
-        import pathlib
-
-        from repro.arguments import load_case
-
-        case_file = str(
-            pathlib.Path(__file__).resolve().parents[2]
-            / "examples" / "case_confidence.yaml"
-        )
-        source = load_case(case_file).to_dict()
-        case_path = tmp_path / "case.yaml"
-        case_path.write_text(yaml.safe_dump(source))
-        sweep = SweepSpec(
-            pipeline="case_confidence",
-            base={"case_file": str(case_path)},
-            grid={"S1.dependence": [0.0, 0.5]},
-        )
-        log = str(tmp_path / "cache.jsonl")
-        _rows1, meta1 = _rows(sweep, cache=ResultCache(path=log))
-        assert meta1["cache_misses"] == 2
-        _rows2, meta2 = _rows(sweep, cache=ResultCache(path=log))
-        assert meta2["cache_hits"] == 2
-
-        # Edit the case: the content hash folded into the key changes,
-        # so the persisted entries are never replayed.
-        edited = dict(source)
-        edited["quantify"] = {
-            **edited["quantify"],
-            "Sn3": {"model": "fixed", "confidence": 0.5},
-        }
-        case_path.write_text(yaml.safe_dump(edited))
-        os.utime(case_path, (os.path.getmtime(case_path) + 2,) * 2)
-        _rows3, meta3 = _rows(sweep, cache=ResultCache(path=log))
-        assert meta3["cache_misses"] == 2
 
 
 class TestOutOfCore:
